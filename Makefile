@@ -12,7 +12,8 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Performance gates, opt-in via BENCH_GUARD=1 because tight
-# thresholds need a quiet machine:
+# thresholds need a quiet machine (-p 1: the two packages' guards
+# never time against each other):
 #   - TestBenchGuardObsOverhead: SPSTA (s1238, Workers=4) metrics
 #     enabled vs disabled, interleaved min-of-N, delta <= 2%. Since
 #     the disabled path is the enabled path minus the work behind the
@@ -39,6 +40,14 @@ bench:
 #     cache-hit p99 >= 50x the cold request, warm single-edit
 #     /v1/delta >= 5x a full uncached re-analysis, and N concurrent
 #     identical requests run the engine exactly once (single-flight).
+#   - TestBenchGuardPlanKernel (internal/dist): the table-driven
+#     ConvPlan convolution kernel, which every scheduler runs, >= 2x
+#     the historical per-pair kernel (kept as test-only reference) on
+#     the t.o.p. rows and delay kernel of s1196 at epsilon=1e-4 under
+#     N(1, 0.2^2) delays, single-threaded. TestBenchGuardBatchSpeedup
+#     logs the batched-vs-sequential scheduler ratio on the same cell
+#     (no longer gated: both schedulers share the kernel) and keeps
+#     the float32 deviation gate.
 #   - TestBenchGuardTimelineOverhead: the timeline sampler + SLO
 #     burn-rate evaluator ticking at 10ms (100x production rate)
 #     adds <= 2% to the served request path (DESIGN.md §17).
@@ -46,7 +55,7 @@ bench:
 #     hot/cold/delta load with no SLO objective burning, client p99
 #     <= 500ms, rejections <= 1%.
 bench-guard:
-	BENCH_GUARD=1 $(GO) test -run TestBenchGuard -v -timeout 20m .
+	BENCH_GUARD=1 $(GO) test -p 1 -run TestBenchGuard -v -timeout 20m . ./internal/dist
 
 # Regenerate the checked-in benchmark JSON documents (BENCH_spsta.json,
 # BENCH_moment.json, BENCH_mc.json) with the default sweeps, including

@@ -3,6 +3,7 @@ package repro
 import (
 	"math"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,22 +12,24 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestBenchGuardBatchSpeedup enforces the batched-scheduler
-// throughput contract on the widest-fanin ISCAS'89 cell: with ε=1e-4
-// pruning active in both runs (so the gate measures batching beyond
-// the adaptive-pruning wins, not instead of them) and variational
-// N(1, 0.2²) delays, the batched float64 scheduler must be at least
-// 2x faster than the sequential per-gate scheduler single-threaded.
-// The win comes from the table-driven register-carried convolution
-// rows, the shared per-level delay kernels and the slab staging — all
-// bit-identical to the sequential arithmetic, which the equivalence
-// suite (core.TestBatchedRunMatchesSequential) asserts on every
-// circuit.
+// TestBenchGuardBatchSpeedup measures the batched scheduler against
+// the sequential per-gate scheduler on the widest-fanin ISCAS'89 cell
+// (ε=1e-4 pruning active in both runs, variational N(1, 0.2²) delays)
+// and gates the float32 grid mode on the same cell.
 //
-// The same run gates the float32 grid mode: its per-net four-value
-// probabilities must stay within 1e-5 of the float64 batched run —
-// an order of magnitude above the depth-scaled rounding model of
-// DESIGN.md §13, far below anything a logic-level consumer can see.
+// The batched-vs-sequential ratio is logged, at workers=1 and at
+// GOMAXPROCS, not gated. Its former 2x contract measured the
+// table-driven ConvPlan rows against the per-pair kernel the
+// sequential scheduler used to run; both schedulers now convolve
+// through the same plan kernel, so that 2x lives on as
+// dist.TestBenchGuardPlanKernel on this cell's rows, and this ratio
+// is the evidence for (or against) keeping two schedulers. Both
+// schedulers are bit-identical (core.TestBatchedRunMatchesSequential).
+//
+// The float32 gate: per-net four-value probabilities must stay within
+// 1e-5 of the float64 batched run — an order of magnitude above the
+// depth-scaled rounding model of DESIGN.md §13, far below anything a
+// logic-level consumer can see.
 //
 // Opt-in via BENCH_GUARD=1 like the other guards, with the same
 // interleaved min-of-N timing.
@@ -38,37 +41,29 @@ func TestBenchGuardBatchSpeedup(t *testing.T) {
 	name := widestFaninProfile(t)
 	c, in := guardCircuit(t, name)
 	delay := func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: 0.2} }
-	one := func(mode core.BatchMode) time.Duration {
-		a := core.Analyzer{Workers: 1, ErrorBudget: eps, Delay: delay, Batched: mode}
-		t0 := time.Now()
-		res, err := a.Run(c, in)
-		if err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		one := func(mode core.BatchMode) time.Duration {
+			a := core.Analyzer{Workers: workers, ErrorBudget: eps, Delay: delay, Batched: mode}
+			t0 := time.Now()
+			res, err := a.Run(c, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			el := time.Since(t0)
+			res.Recycle()
+			return el
 		}
-		el := time.Since(t0)
-		res.Recycle()
-		return el
-	}
-	one(core.BatchOff)
-	one(core.BatchOn)
+		one(core.BatchOff)
+		one(core.BatchOn)
 
-	const rounds = 5
-	minSeq, minBatch := time.Hour, time.Hour
-	for r := 0; r < rounds; r++ {
-		if d := one(core.BatchOff); d < minSeq {
-			minSeq = d
+		const rounds = 5
+		minSeq, minBatch := time.Hour, time.Hour
+		for r := 0; r < rounds; r++ {
+			minSeq = min(minSeq, one(core.BatchOff))
+			minBatch = min(minBatch, one(core.BatchOn))
 		}
-		if d := one(core.BatchOn); d < minBatch {
-			minBatch = d
-		}
-	}
-
-	speedup := float64(minSeq) / float64(minBatch)
-	t.Logf("%s: sequential %v/op, batched %v/op, speedup %.2fx",
-		name, minSeq, minBatch, speedup)
-	if speedup < 2 {
-		t.Errorf("batched speedup %.2fx below the 2x contract on %s "+
-			"(sequential %v/op, batched %v/op)", speedup, name, minSeq, minBatch)
+		t.Logf("%s workers=%d: sequential %v/op, batched %v/op, batched speedup %.2fx (logged, not gated)",
+			name, workers, minSeq, minBatch, float64(minSeq)/float64(minBatch))
 	}
 
 	// Float32 deviation gate: rerun both precisions once and compare.

@@ -166,6 +166,10 @@ type Result struct {
 	// arena backs the stored t.o.p. functions; Recycle hands it back
 	// for reuse by a later Run.
 	arena *dist.Arena
+
+	// empty is the shared empty t.o.p. ε-pruned ComputeNode calls
+	// point absorbed mixture inputs at, built on first use.
+	empty *dist.PMF
 }
 
 // Recycle releases the result's t.o.p. storage for reuse by a later
@@ -208,7 +212,7 @@ type runCtx struct {
 	coarsen   CoarsenPolicy
 	coarsened bool
 	// arena backs the stored t.o.p. functions of a full Run (nil for
-	// single-node recomputation, which falls back to NewPMF).
+	// single-node recomputation, which stores pooled scratch PMFs).
 	arena *dist.Arena
 	// met is the run's metrics registry (also carried by grid); nil
 	// disables the core-level counters.
@@ -216,8 +220,13 @@ type runCtx struct {
 }
 
 // newTOP returns an empty PMF for a stored t.o.p. function, carved
-// from the run's arena when one is available.
+// from the run's arena when one is available. Single-node
+// recomputation has no arena: it stores pooled scratch, which
+// Result.Commit copies into the net's own buffers or releases.
 func (rc *runCtx) newTOP() *dist.PMF {
+	if rc.arena == nil {
+		return dist.NewScratch(rc.grid)
+	}
 	if p := rc.arena.Take(); p != nil {
 		return p
 	}
@@ -377,6 +386,11 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 // single-node step of Run, exported for incremental re-analysis
 // (package incr). The exact-probability correction is whole-circuit
 // and is not applied here.
+//
+// The new t.o.p. functions live in pooled scratch PMFs. A caller may
+// keep them as they are, or settle the recomputation with
+// Result.Commit, which reuses the net's previous buffers and returns the scratch to
+// the pool.
 func (a *Analyzer) ComputeNode(res *Result, id netlist.NodeID, inputs map[netlist.NodeID]logic.InputStats) error {
 	delay := a.Delay
 	if delay == nil {
@@ -391,9 +405,13 @@ func (a *Analyzer) ComputeNode(res *Result, id netlist.NodeID, inputs map[netlis
 	// same geometry, and vice versa.
 	if res.kernels == nil || !res.kernels.Grid().Same(res.Grid) {
 		res.kernels = dist.NewKernelCache(res.Grid)
+	} else if res.kernels.Grid().Metrics() != res.Grid.Metrics() {
+		// The result was re-attached to another scope (SetMetrics):
+		// kernel lookups record into the grid's current registry.
+		res.kernels.Rebind(res.Grid)
 	}
-	// Incremental recomputation records into the scope the result was
-	// built with: res.Grid carries the registry Run attached.
+	// Incremental recomputation records into the scope res.Grid
+	// carries: the one Run attached, or the one SetMetrics re-attached.
 	rc := &runCtx{
 		grid: res.Grid, delay: delay, maxParity: maxParity, kernels: res.kernels,
 		eps: a.ErrorBudget, met: res.Grid.Metrics(),
@@ -403,9 +421,55 @@ func (a *Analyzer) ComputeNode(res *Result, id netlist.NodeID, inputs map[netlis
 		certify: a.ErrorBudget > 0 || a.Coarsen.Mode != CoarsenOff,
 	}
 	if rc.eps > 0 {
-		rc.empty = dist.NewPMF(res.Grid)
+		if res.empty == nil || !res.empty.Grid().Equal(res.Grid) {
+			res.empty = dist.NewPMF(res.Grid)
+		}
+		rc.empty = res.empty
 	}
 	return a.computeNode(res, id, inputs, rc)
+}
+
+// Commit settles an incremental recomputation of net id: prev is the
+// state ComputeNode replaced. With keep, the net's new t.o.p.
+// functions are copied into prev's buffers, which the net owns
+// outright, so recomputing a net allocates no t.o.p. storage;
+// without it, prev is restored whole (the recomputation changed
+// nothing the caller propagates). Either way the scratch PMFs
+// ComputeNode stored return to the pool.
+func (r *Result) Commit(id netlist.NodeID, prev NetState, keep bool) {
+	st := &r.State[id]
+	for d, p := range st.TOP {
+		old := prev.TOP[d]
+		if p == nil || p == old {
+			continue
+		}
+		if keep {
+			if old == nil || !old.Grid().Equal(p.Grid()) {
+				continue // no reusable buffer: the scratch becomes the storage
+			}
+			st.TOP[d] = old.CopyFrom(p)
+		}
+		p.Release()
+	}
+	if !keep {
+		*st = prev
+	}
+}
+
+// SetMetrics re-attaches the result to a metrics registry (nil
+// detaches): later ComputeNode calls — their kernel work, their
+// kernel-cache lookups, and the kernels that read stored t.o.p.
+// functions as operands — record into m instead of the registry the
+// result was built with.
+func (r *Result) SetMetrics(m *obs.Metrics) {
+	r.Grid = r.Grid.WithMetrics(m)
+	for i := range r.State {
+		for _, p := range r.State[i].TOP {
+			if p != nil {
+				p.SetMetrics(m)
+			}
+		}
+	}
 }
 
 func (a *Analyzer) computeNode(res *Result, id netlist.NodeID, inputs map[netlist.NodeID]logic.InputStats, rc *runCtx) error {

@@ -5,18 +5,23 @@ import (
 	"sync"
 )
 
-// ConvPlan precomputes the bin-split tables of the direct convolution
-// kernel for one grid. The direct kernel places the product mass of
-// bin centers i and j at fractional bin k = i + j + off
-// (off = Lo/Dt + 1/2) and splits it linearly between floor(k) and
-// floor(k)+1; floor, the split fraction and its complement depend
-// only on the center-sum s = i + j, so one table over s ∈ [0, 2N−2]
-// serves every convolution of the run. The plan also notes whether
-// floor(s + off) advances by exactly one bin per unit of s (contig) —
-// true for every real grid; the theoretical exception is a grid whose
-// off sits within half an ulp of an integer — which is what lets the
-// batch kernel process a whole source row against two table slices
-// with no per-pair floor, branch, or bounds test.
+// ConvPlan is the package's direct convolution kernel: it
+// precomputes the bin-split tables for one grid. The kernel places the
+// product mass of bin centers i and j at fractional bin
+// k = i + j + off (off = Lo/Dt + 1/2) and splits it linearly between
+// floor(k) and floor(k)+1; floor, the split fraction and its
+// complement depend only on the center-sum s = i + j, so one table
+// over s ∈ [0, 2N−2] serves every convolution on the grid. The plan
+// also notes whether floor(s + off) advances by exactly one bin per
+// unit of s (contig) — true for every real grid; the theoretical
+// exception is a grid whose off sits within half an ulp of an
+// integer — which is what lets a whole source row run against two
+// table slices with no per-pair floor, branch, or bounds test.
+//
+// PMF.ConvolveInto, the batch scheduler and every other caller run
+// through a cached plan (PlanFor); the historical per-pair kernel,
+// which recomputed floor and fraction for every (i, j) pair, survives
+// only in the tests as the independent bit-identity reference.
 //
 // Plans are read-only after construction and safe for concurrent use.
 type ConvPlan struct {
@@ -102,15 +107,18 @@ func PlanFor(g Grid) *ConvPlan {
 	return pl
 }
 
-// ConvolveInto is the plan-driven equivalent of p.ConvolveInto(dst, q):
-// same FFT dispatch, same metrics, and a bit-identical result — the
-// direct path walks the identical (i, j) pair order with the identical
-// floating-point expressions, reading the split factors from the plan
-// tables instead of recomputing them per pair. Source rows whose
-// destination bins lie fully inside the grid additionally run a
-// register-carried form of the inner loop (each destination bin is
-// read once and written once per row instead of twice), which
-// reassociates nothing: the two adds land in the same order.
+// ConvolveInto writes the convolution of p and q into dst (cleared
+// first) and returns dst; dst must not alias p or q, and p must live
+// on the plan's grid geometry. Operands whose supports both reach the
+// FFT crossover take the FFT path; the rest run the direct kernel,
+// which walks the (i, j) pairs in the order of the historical per-pair
+// loop with the identical floating-point expressions, reading the
+// split factors from the plan tables instead of recomputing them per
+// pair. Source rows whose destination bins lie fully inside the grid
+// additionally run a register-carried form of the inner loop (each
+// destination bin is read once and written once per row instead of
+// twice), which reassociates nothing: the two adds land in the same
+// order, so results are bit-identical to the per-pair loop.
 func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
 	p.grid.check(q.grid, "Convolve")
 	p.grid.check(dst.grid, "Convolve")

@@ -44,9 +44,9 @@ func requireSameBins(t *testing.T, name string, want, got *PMF) {
 
 // TestConvPlanBitIdenticalDirect drives the plan's table-driven direct
 // kernel over narrow, edge-clamped and sparse operands and requires
-// bit-identical bins against PMF.ConvolveInto — the fast
-// register-carried rows and the clamped fallback rows must replay the
-// serial kernel's floating-point adds exactly.
+// bit-identical bins against referenceConvolveInto, the historical
+// per-pair kernel — the fast register-carried rows and the clamped
+// fallback rows must replay its floating-point adds exactly.
 func TestConvPlanBitIdenticalDirect(t *testing.T) {
 	g := NewGrid(-4, 12, 1.0/16)
 	pl := NewConvPlan(g)
@@ -65,7 +65,7 @@ func TestConvPlanBitIdenticalDirect(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := randPMF(g, rng, tc.plo, tc.phi)
 			q := randPMF(g, rng, tc.qlo, tc.qhi)
-			// Punch zero holes so the serial b==0 skip paths run.
+			// Punch zero holes so the reference's b==0 skip paths run.
 			if tc.phi-tc.plo > 4 {
 				p.SetBin(tc.plo+2, 0)
 			}
@@ -74,17 +74,18 @@ func TestConvPlanBitIdenticalDirect(t *testing.T) {
 			}
 			want := NewPMF(g)
 			got := NewPMF(g)
-			p.ConvolveInto(want, q)
+			referenceConvolveInto(want, p, q)
 			pl.ConvolveInto(got, p, q)
 			requireSameBins(t, tc.name, want, got)
 		})
 	}
 }
 
-// TestConvPlanBitIdenticalFFT checks the wide-operand dispatch: both
-// paths must route to the FFT and agree bitwise (they share
-// convolveFFTInto, so this also covers the plan-table FFT against the
-// historical per-call Sincos kernel via TestFFTPlanTwiddles).
+// TestConvPlanBitIdenticalFFT checks the wide-operand dispatch: the
+// plan must route to the FFT exactly when the reference does and agree
+// with it bitwise (they share convolveFFTInto, so this also covers the
+// plan-table FFT against the historical per-call Sincos kernel via
+// TestFFTPlanTwiddles).
 func TestConvPlanBitIdenticalFFT(t *testing.T) {
 	g := NewGrid(-8, 24, 1.0/16)
 	m := obs.NewMetrics()
@@ -97,11 +98,11 @@ func TestConvPlanBitIdenticalFFT(t *testing.T) {
 	}
 	want := NewPMF(gm)
 	got := NewPMF(gm)
-	p.ConvolveInto(want, q)
+	referenceConvolveInto(want, p, q)
 	pl.ConvolveInto(got, p, q)
 	requireSameBins(t, "fft", want, got)
-	if n := m.Snapshot().Convolution.FFT; n != 2 {
-		t.Errorf("ConvFFT = %d, want 2 (both paths dispatched to FFT)", n)
+	if c := m.Snapshot().Convolution; c.FFT != 1 || c.Direct != 0 {
+		t.Errorf("ConvFFT = %d, ConvDirect = %d, want 1 and 0 (plan dispatched to FFT)", c.FFT, c.Direct)
 	}
 }
 

@@ -136,6 +136,11 @@ func Delta(g Grid, x float64) *PMF {
 // Grid returns the PMF's grid.
 func (p *PMF) Grid() Grid { return p.grid }
 
+// SetMetrics re-attaches p's grid to the registry m (nil detaches),
+// for a long-lived PMF whose kernel work must record into a later
+// analysis scope than the one it was built under.
+func (p *PMF) SetMetrics(m *obs.Metrics) { p.grid.met = m }
+
 // W returns the mass of bin i.
 func (p *PMF) W(i int) float64 { return p.w[i] }
 
@@ -305,67 +310,12 @@ func (p *PMF) Convolve(q *PMF) *PMF {
 }
 
 // ConvolveInto writes the convolution of p and q into dst (cleared
-// first) and returns dst. dst must not alias p or q.
+// first) and returns dst. dst must not alias p or q. It runs the
+// grid's cached ConvPlan (PlanFor), the package's one direct kernel,
+// so every scheduler and every caller convolves through the same
+// table-driven rows.
 func (p *PMF) ConvolveInto(dst, q *PMF) *PMF {
-	p.grid.check(q.grid, "Convolve")
-	p.grid.check(dst.grid, "Convolve")
-	dst.Reset()
-	sa, sb := p.hi-p.lo, q.hi-q.lo
-	if sa == 0 || sb == 0 {
-		return dst
-	}
-	useFFT := sa >= fftCrossover && sb >= fftCrossover
-	if m := p.grid.met; m != nil {
-		m.ConvSupport.Observe(sa)
-		m.ConvSupport.Observe(sb)
-		if useFFT {
-			m.ConvFFT.Add(1)
-			m.CostBinOps.Add(fftCostUnits(sa + sb - 1))
-		} else {
-			m.ConvDirect.Add(1)
-			m.CostBinOps.Add(int64(sa) * int64(sb))
-		}
-	}
-	if useFFT {
-		convolveFFTInto(dst, p, q)
-		return dst
-	}
-	g := p.grid
-	clampAdd := func(i int, v float64) {
-		if v == 0 {
-			return
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i >= g.N {
-			i = g.N - 1
-		}
-		dst.w[i] += v
-		dst.expand(i)
-	}
-	// In bin-center coordinates k = (x−Lo)/Dt − 1/2, the sum of
-	// centers i and j sits at k = i + j + 1/2 + Lo/Dt.
-	off := g.Lo/g.Dt + 0.5
-	for i := p.lo; i < p.hi; i++ {
-		a := p.w[i]
-		if a == 0 {
-			continue
-		}
-		for j := q.lo; j < q.hi; j++ {
-			b := q.w[j]
-			if b == 0 {
-				continue
-			}
-			m := a * b
-			k := float64(i+j) + off
-			base := math.Floor(k)
-			frac := k - base
-			clampAdd(int(base), m*(1-frac))
-			clampAdd(int(base)+1, m*frac)
-		}
-	}
-	return dst
+	return PlanFor(p.grid).ConvolveInto(dst, p, q)
 }
 
 // MaxPMF returns the distribution of max(A, B) for independent A, B

@@ -13,7 +13,9 @@ import (
 // contract: incremental recomputation (ComputeNode via SetDelay)
 // records its kernel and mixture work into the scope of the original
 // Run — carried by the Result's grid — not into a global registry and
-// not into nothing.
+// not into nothing. After SetObs re-attaches the session, everything —
+// kernel-cache lookups included — records into the new scope and
+// nothing more into the original one.
 func TestIncrementalRecordsIntoRunScope(t *testing.T) {
 	c := gen(t, "s344")
 	in := experiments.Inputs(c, experiments.ScenarioI)
@@ -55,5 +57,25 @@ func TestIncrementalRecordsIntoRunScope(t *testing.T) {
 	}
 	if s2 := scope2.Snapshot(); s2.KernelCache.Hits+s2.KernelCache.Misses == 0 {
 		t.Error("second scope recorded nothing")
+	}
+
+	// Re-attach to a fresh scope, as spstad does for every warm delta.
+	scopeB := obs.NewScope()
+	inc.SetObs(scopeB)
+	beforeA := scope.Snapshot()
+	if _, err := inc.SetDelay(pickGate(c), dist.Normal{Mu: 2.5, Sigma: 0.35}); err != nil {
+		t.Fatal(err)
+	}
+	afterA, b := scope.Snapshot(), scopeB.Snapshot()
+	if afterA.KernelCache != beforeA.KernelCache || afterA.Cost != beforeA.Cost {
+		t.Errorf("re-attached session still records into the original scope: kernels %+v -> %+v, cost %+v -> %+v",
+			beforeA.KernelCache, afterA.KernelCache, beforeA.Cost, afterA.Cost)
+	}
+	if b.KernelCache.Misses < 1 || b.KernelCache.Hits < 1 {
+		t.Errorf("re-attached scope got kernel hits %d, misses %d; want both >= 1 (a new delay kernel plus cached ones)",
+			b.KernelCache.Hits, b.KernelCache.Misses)
+	}
+	if b.Cost.Total == 0 || b.Convolution.Direct+b.Convolution.FFT == 0 {
+		t.Errorf("re-attached scope recorded no kernel work: cost %+v, convolutions %+v", b.Cost, b.Convolution)
 	}
 }

@@ -250,84 +250,51 @@ func (sess *deltaSession) attach(scope *obs.Scope) {
 	}
 }
 
-func (sess *deltaSession) setDelay(id netlist.NodeID, d dist.Normal) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.SetDelay(id, d)
-	}
-	return sess.ss.SetDelay(id, d), nil
-}
-
-func (sess *deltaSession) clearDelay(id netlist.NodeID) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.ClearDelay(id)
-	}
-	return sess.ss.ClearDelay(id), nil
-}
-
-func (sess *deltaSession) setInput(id netlist.NodeID, st logic.InputStats) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.SetInput(id, st)
-	}
-	return sess.ss.SetInput(id, st), nil
-}
-
-func (sess *deltaSession) clearInput(id netlist.NodeID) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.ClearInput(id)
-	}
-	return sess.ss.ClearInput(id), nil
-}
-
 // reconcile drives the session from its currently-applied override
 // set to the desired one: dropped overrides are cleared (reverting to
 // the base netlist), new or changed ones applied, unchanged ones
-// skipped entirely. Returns the total node recomputations.
+// skipped entirely. The whole difference goes to the engine as one
+// change set, so overlapping fanout cones are propagated once.
+// Returns the node recomputations.
 func (sess *deltaSession) reconcile(delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats) (int, error) {
-	evals := 0
+	var ch incr.Changes
 	for id := range sess.curDelay {
-		if _, ok := delay[id]; ok {
-			continue
+		if _, ok := delay[id]; !ok {
+			ch.ClearDelay = append(ch.ClearDelay, id)
 		}
-		n, err := sess.clearDelay(id)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		delete(sess.curDelay, id)
 	}
 	for id := range sess.curInput {
-		if _, ok := input[id]; ok {
-			continue
+		if _, ok := input[id]; !ok {
+			ch.ClearInput = append(ch.ClearInput, id)
 		}
-		n, err := sess.clearInput(id)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		delete(sess.curInput, id)
 	}
 	for id, d := range delay {
-		if cur, ok := sess.curDelay[id]; ok && cur == d {
-			continue
+		if cur, ok := sess.curDelay[id]; !ok || cur != d {
+			if ch.SetDelay == nil {
+				ch.SetDelay = make(map[netlist.NodeID]dist.Normal)
+			}
+			ch.SetDelay[id] = d
 		}
-		n, err := sess.setDelay(id, d)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		sess.curDelay[id] = d
 	}
 	for id, st := range input {
-		if cur, ok := sess.curInput[id]; ok && cur == st {
-			continue
+		if cur, ok := sess.curInput[id]; !ok || cur != st {
+			if ch.SetInput == nil {
+				ch.SetInput = make(map[netlist.NodeID]logic.InputStats)
+			}
+			ch.SetInput[id] = st
 		}
-		n, err := sess.setInput(id, st)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		sess.curInput[id] = st
 	}
+	var evals int
+	var err error
+	if sess.sp != nil {
+		evals, err = sess.sp.Apply(ch)
+	} else {
+		evals = sess.ss.Apply(ch)
+	}
+	if err != nil {
+		return evals, err
+	}
+	sess.curDelay, sess.curInput = delay, input
 	return evals, nil
 }
 
