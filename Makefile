@@ -47,7 +47,9 @@ bench:
 #     N(1, 0.2^2) delays, single-threaded. TestBenchGuardBatchSpeedup
 #     logs the batched-vs-sequential scheduler ratio on the same cell
 #     (no longer gated: both schedulers share the kernel) and keeps
-#     the float32 deviation gate.
+#     the float32 deviation gate. The same guard times the plan's
+#     AVX2 fast-row body against its generic one on those rows:
+#     >= 2x where the CPU has AVX2, logged and skipped elsewhere.
 #   - TestBenchGuardTimelineOverhead: the timeline sampler + SLO
 #     burn-rate evaluator ticking at 10ms (100x production rate)
 #     adds <= 2% to the served request path (DESIGN.md §17).
@@ -89,11 +91,13 @@ soak:
 # level-parallel analyzers with Workers=4, so this is the
 # schedule-safety check; the instrumented variants
 # (core.TestInstrumentedParallelMatchesSerial and friends) re-check
-# it with metrics and tracing live.
+# it with metrics and tracing live. The arm64 vet keeps the
+# non-amd64 fallback of the AVX2 row kernel compiling.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) smoke
 	$(MAKE) soak

@@ -115,10 +115,10 @@ func PlanFor(g Grid) *ConvPlan {
 // loop with the identical floating-point expressions, reading the
 // split factors from the plan tables instead of recomputing them per
 // pair. Source rows whose destination bins lie fully inside the grid
-// additionally run a register-carried form of the inner loop (each
-// destination bin is read once and written once per row instead of
-// twice), which reassociates nothing: the two adds land in the same
-// order, so results are bit-identical to the per-pair loop.
+// run in one call to rowKernel, which reads and writes each
+// destination bin once per row (four bins per instruction where the
+// CPU has AVX2) and reassociates nothing: the two adds land in the
+// same order, so results are bit-identical to the per-pair loop.
 func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
 	p.grid.check(q.grid, "Convolve")
 	p.grid.check(dst.grid, "Convolve")
@@ -147,11 +147,11 @@ func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
 	return dst
 }
 
-// convolveDirect is the table-driven direct kernel with per-row
-// dispatch between the in-grid fast loop and the clamped fallback.
+// convolveDirect is the table-driven direct kernel. Source rows whose
+// destination bins all lie in the grid go to rowKernel in one run; the
+// rows before and after that run take the clamped per-pair fallback.
 func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
 	g := p.grid
-	w := dst.w
 	nq := q.hi - q.lo
 	qs := q.w[q.lo:q.hi]
 	clampAdd := func(i int, v float64) {
@@ -167,41 +167,13 @@ func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
 		dst.w[i] += v
 		dst.expand(i)
 	}
-	// firstT/lastT track the destination span of the fast rows; the
-	// clamped fallback expands dst itself. The resulting support may
-	// over-approximate the realized one (edge bins of a fast row can
-	// be zero), which the support invariant permits: bins inside the
-	// support may be zero, bins outside are exactly zero.
-	firstT, lastT := -1, -1
-	for i := p.lo; i < p.hi; i++ {
-		a := p.w[i]
-		if a == 0 {
-			continue
-		}
-		s0 := i + q.lo
-		t0 := int(pl.base[s0])
-		if pl.contig && t0 >= 0 && t0+nq < g.N {
-			// Fast row: every destination bin [t0, t0+nq] is in-grid
-			// and consecutive pairs share a bin, so carry the running
-			// bin value in a register across the row. The j-th store
-			// is exactly clampAdd(t0+j, m·one) after the previous
-			// pair's clampAdd(t0+j, m·frc): same adds, same order.
-			ot := pl.one[s0 : s0+nq]
-			ft := pl.frc[s0 : s0+nq]
-			wrow := w[t0 : t0+nq+1]
-			cur := wrow[0]
-			for j, b := range qs {
-				m := a * b
-				cur += m * ot[j]
-				wrow[j] = cur
-				cur = wrow[j+1] + m*ft[j]
+	clampRows := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := p.w[i]
+			if a == 0 {
+				continue
 			}
-			wrow[nq] = cur
-			if firstT < 0 {
-				firstT = t0
-			}
-			lastT = t0
-		} else {
+			s0 := i + q.lo
 			for j, b := range qs {
 				if b == 0 {
 					continue
@@ -213,19 +185,37 @@ func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
 			}
 		}
 	}
-	if firstT >= 0 {
-		hi := lastT + nq + 1
-		if dst.lo == dst.hi {
-			dst.lo, dst.hi = firstT, hi
-		} else {
-			if firstT < dst.lo {
-				dst.lo = firstT
-			}
-			if hi > dst.hi {
-				dst.hi = hi
-			}
+	// On a contiguous plan row i's destination bins start at
+	// t0(i) = base[i+q.lo] = base[0]+q.lo+i, so the rows whose bins
+	// [t0, t0+nq] all lie in the grid form one run [fLo, fHi), and
+	// consecutive pairs of a row share a bin. Zero rows are trimmed
+	// off the run's ends so its destination span starts and ends at
+	// rows that carry mass; the clamped loops skip them.
+	fLo, fHi := p.hi, p.hi
+	if pl.contig {
+		b0 := int(pl.base[0]) + q.lo
+		fLo = min(max(p.lo, -b0), p.hi)
+		fHi = min(max(fLo, g.N-nq-b0), p.hi)
+		for fLo < fHi && p.w[fLo] == 0 {
+			fLo++
+		}
+		for fHi > fLo && p.w[fHi-1] == 0 {
+			fHi--
 		}
 	}
+	clampRows(p.lo, fLo)
+	if n := fHi - fLo; n > 0 {
+		s0 := fLo + q.lo
+		t0 := int(pl.base[s0])
+		rowKernel(dst.w[t0:t0+n+nq], p.w[fLo:fHi], qs, pl.one[s0:s0+n+nq-1], pl.frc[s0:s0+n+nq-1])
+		// The run's span may over-approximate the realized support
+		// (edge bins can be zero), which the support invariant
+		// permits: bins inside the support may be zero, bins outside
+		// are exactly zero.
+		dst.expand(t0)
+		dst.expand(t0 + n + nq - 1)
+	}
+	clampRows(fHi, p.hi)
 }
 
 // ShiftBatch translates every src by d into the matching dst (cleared

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,22 +46,29 @@ func requireSameBins(t *testing.T, name string, want, got *PMF) {
 // TestConvPlanBitIdenticalDirect drives the plan's table-driven direct
 // kernel over narrow, edge-clamped and sparse operands and requires
 // bit-identical bins against referenceConvolveInto, the historical
-// per-pair kernel — the fast register-carried rows and the clamped
-// fallback rows must replay its floating-point adds exactly.
+// per-pair kernel — the fast rows and the clamped fallback rows must
+// replay its floating-point adds exactly. Every case runs on each
+// fast-row body the CPU has (RowKernels), and the nq-k cases walk the
+// kernel widths 1–9: the rows too short for a SIMD block and every
+// leftover count (nq−1) mod 4 after the blocks.
 func TestConvPlanBitIdenticalDirect(t *testing.T) {
 	g := NewGrid(-4, 12, 1.0/16)
 	pl := NewConvPlan(g)
-	rng := rand.New(rand.NewSource(7))
-	cases := []struct {
+	type tcase struct {
 		name               string
 		plo, phi, qlo, qhi int
-	}{
+	}
+	cases := []tcase{
 		{"interior", 64, 96, 100, 120},
 		{"left-clamp", 0, 20, 0, 16},
 		{"right-clamp", g.N - 30, g.N - 1, g.N - 40, g.N - 1},
 		{"narrow-kernel", 80, 140, 90, 92},
 		{"single-bin", 100, 101, 50, 51},
 	}
+	for nq := 1; nq <= 9; nq++ {
+		cases = append(cases, tcase{fmt.Sprintf("nq-%d", nq), 70, 90, 40, 40 + nq})
+	}
+	rng := rand.New(rand.NewSource(7))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := randPMF(g, rng, tc.plo, tc.phi)
@@ -73,10 +81,15 @@ func TestConvPlanBitIdenticalDirect(t *testing.T) {
 				q.SetBin(tc.qlo+1, 0)
 			}
 			want := NewPMF(g)
-			got := NewPMF(g)
 			referenceConvolveInto(want, p, q)
-			pl.ConvolveInto(got, p, q)
-			requireSameBins(t, tc.name, want, got)
+			for _, kern := range RowKernels() {
+				t.Run(kern, func(t *testing.T) {
+					t.Cleanup(SetRowKernel(kern))
+					got := NewPMF(g)
+					pl.ConvolveInto(got, p, q)
+					requireSameBins(t, tc.name, want, got)
+				})
+			}
 		})
 	}
 }

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,8 +22,11 @@ import (
 // N(1, 0.2²) delays. The operands are that analysis' own t.o.p. rows
 // and its delay kernel; both kernels produce bit-identical bins
 // (TestConvPlanMatchesReferenceRandom), so the ratio is pure kernel
-// speed. Timing is interleaved min-of-N single-threaded, like the
-// other guards.
+// speed. The same rows then time the plan's two fast-row bodies
+// against each other: where the CPU has AVX2 the SIMD body must run
+// at least 2x the generic one; elsewhere that gate logs and skips.
+// Timing is interleaved min-of-N single-threaded, like the other
+// guards.
 //
 // Opt-in via BENCH_GUARD=1 (`make bench-guard`).
 func TestBenchGuardPlanKernel(t *testing.T) {
@@ -77,5 +81,29 @@ func TestBenchGuardPlanKernel(t *testing.T) {
 	if speedup < 2 {
 		t.Errorf("plan kernel speedup %.2fx below the 2x contract on s1196 (reference %v/pass, plan %v/pass)",
 			speedup, minRef, minPlan)
+	}
+
+	// The fast-row body: the AVX2 plan must run at least 2x the
+	// generic plan on the same rows where the CPU has AVX2.
+	if !slices.Contains(dist.RowKernels(), "avx2") {
+		t.Log("CPU without AVX2 (or OS without YMM state): generic row kernel only, SIMD gate skipped")
+		return
+	}
+	kernPass := func(name string) time.Duration {
+		defer dist.SetRowKernel(name)()
+		return pass(plan)
+	}
+	kernPass("generic")
+	kernPass("avx2")
+	minGen, minSIMD := time.Hour, time.Hour
+	for r := 0; r < rounds; r++ {
+		minGen = min(minGen, kernPass("generic"))
+		minSIMD = min(minSIMD, kernPass("avx2"))
+	}
+	simd := float64(minGen) / float64(minSIMD)
+	t.Logf("s1196 row kernel: generic %v/pass, avx2 %v/pass, speedup %.2fx", minGen, minSIMD, simd)
+	if simd < 2 {
+		t.Errorf("AVX2 row kernel speedup %.2fx below the 2x contract on s1196 (generic %v/pass, avx2 %v/pass)",
+			simd, minGen, minSIMD)
 	}
 }

@@ -99,7 +99,8 @@ func randomOperand(g Grid, rng *rand.Rand, maxW int) *PMF {
 // the one production kernel: on random operands — edge-clamped rows,
 // zero holes, narrow and FFT-wide supports — over fine, odd-offset
 // and 2×/4×-coarsened grids, PlanFor(g).ConvolveInto produces exactly
-// the bins of the per-pair reference.
+// the bins of the per-pair reference, on each fast-row body the CPU
+// has (RowKernels).
 func TestConvPlanMatchesReferenceRandom(t *testing.T) {
 	fine := TimingGrid(30, 0, 1.3)
 	grids := map[string]Grid{
@@ -109,23 +110,28 @@ func TestConvPlanMatchesReferenceRandom(t *testing.T) {
 		"coarsen-4": fine.Coarsen(4),
 		"tiny":      NewGrid(-1, 1, 0.25),
 	}
-	rng := rand.New(rand.NewSource(2211))
 	for name, g := range grids {
 		t.Run(name, func(t *testing.T) {
 			pl := PlanFor(g)
-			for trial := 0; trial < 150; trial++ {
-				maxW := 48
-				if trial%10 == 0 {
-					maxW = g.N // FFT-wide operands where the grid allows
-				}
-				p := randomOperand(g, rng, maxW)
-				q := randomOperand(g, rng, maxW)
-				want := referenceConvolveInto(NewPMF(g), p, q)
-				got := pl.ConvolveInto(NewPMF(g), p, q)
-				requireSameBins(t, name, want, got)
-				via := p.ConvolveInto(NewScratch(g), q)
-				requireSameBins(t, name+"/PMF.ConvolveInto", want, via)
-				via.Release()
+			for _, kern := range RowKernels() {
+				t.Run(kern, func(t *testing.T) {
+					t.Cleanup(SetRowKernel(kern))
+					rng := rand.New(rand.NewSource(2211))
+					for trial := 0; trial < 150; trial++ {
+						maxW := 48
+						if trial%10 == 0 {
+							maxW = g.N // FFT-wide operands where the grid allows
+						}
+						p := randomOperand(g, rng, maxW)
+						q := randomOperand(g, rng, maxW)
+						want := referenceConvolveInto(NewPMF(g), p, q)
+						got := pl.ConvolveInto(NewPMF(g), p, q)
+						requireSameBins(t, name, want, got)
+						via := p.ConvolveInto(NewScratch(g), q)
+						requireSameBins(t, name+"/PMF.ConvolveInto", want, via)
+						via.Release()
+					}
+				})
 			}
 		})
 	}
@@ -133,8 +139,9 @@ func TestConvPlanMatchesReferenceRandom(t *testing.T) {
 
 // TestConvPlanNonContiguous covers the plan's fallback for a grid
 // whose offset sits within half an ulp of an integer, so floor(s+off)
-// skips a bin somewhere and no row may take the register-carried
-// path: every row must still match the per-pair reference bit for bit.
+// skips a bin somewhere and no row may take the fast path: every row
+// must still match the per-pair reference bit for bit, whichever
+// fast-row body is selected.
 func TestConvPlanNonContiguous(t *testing.T) {
 	var g Grid
 	var pl *ConvPlan
@@ -148,11 +155,16 @@ func TestConvPlanNonContiguous(t *testing.T) {
 	if pl == nil {
 		t.Fatal("found no grid with a non-contiguous split table")
 	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 100; trial++ {
-		p := randomOperand(g, rng, 24)
-		q := randomOperand(g, rng, 24)
-		requireSameBins(t, "non-contig",
-			referenceConvolveInto(NewPMF(g), p, q), pl.ConvolveInto(NewPMF(g), p, q))
+	for _, kern := range RowKernels() {
+		t.Run(kern, func(t *testing.T) {
+			t.Cleanup(SetRowKernel(kern))
+			rng := rand.New(rand.NewSource(9))
+			for trial := 0; trial < 100; trial++ {
+				p := randomOperand(g, rng, 24)
+				q := randomOperand(g, rng, 24)
+				requireSameBins(t, "non-contig",
+					referenceConvolveInto(NewPMF(g), p, q), pl.ConvolveInto(NewPMF(g), p, q))
+			}
+		})
 	}
 }

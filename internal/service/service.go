@@ -492,6 +492,9 @@ func decode(r *http.Request) (*Request, error) {
 	if req.Epsilon < 0 {
 		return nil, errBadRequest("epsilon must be >= 0")
 	}
+	if req.Sigma < 0 {
+		return nil, errBadRequest("sigma must be >= 0")
+	}
 	switch req.Batched {
 	case "":
 		req.Batched = "on"

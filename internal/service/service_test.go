@@ -252,6 +252,16 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("body %s: status = %d, want 400 (%s)", body, resp.StatusCode, b)
 		}
 	}
+	// A negative sigma is out of the delay model's domain on every
+	// endpoint that decodes a Request, not silently deterministic.
+	for _, path := range []string{"/v1/analyze", "/v1/compare"} {
+		resp, b := post(t, srv.URL+path, `{"circuit":"s208","sigma":-1}`)
+		var e struct{ Error string }
+		_ = json.Unmarshal(b, &e)
+		if resp.StatusCode != http.StatusBadRequest || e.Error != "sigma must be >= 0" {
+			t.Errorf("%s sigma -1: status = %d, want 400 sigma must be >= 0 (%s)", path, resp.StatusCode, b)
+		}
+	}
 }
 
 // TestBatchedRequestKnobs exercises the batched/precision request
