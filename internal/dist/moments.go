@@ -2,13 +2,12 @@ package dist
 
 import "math"
 
-// Moments is an online (Welford) accumulator for the mean, variance
-// and higher central moments of a sample stream. The zero value is
-// ready to use.
+// Moments is an online (Welford) accumulator for the mean and
+// variance of a sample stream. The zero value is ready to use.
 type Moments struct {
-	n          int64
-	mean       float64
-	m2, m3, m4 float64
+	n    int64
+	mean float64
+	m2   float64
 }
 
 // Add folds one observation into the accumulator.
@@ -17,12 +16,8 @@ func (m *Moments) Add(x float64) {
 	n := float64(m.n)
 	delta := x - m.mean
 	deltaN := delta / n
-	deltaN2 := deltaN * deltaN
-	term1 := delta * deltaN * (n - 1)
 	m.mean += deltaN
-	m.m4 += term1*deltaN2*(n*n-3*n+3) + 6*deltaN2*m.m2 - 4*deltaN*m.m3
-	m.m3 += term1*deltaN*(n-2) - 3*deltaN*m.m2
-	m.m2 += term1
+	m.m2 += delta * deltaN * (n - 1)
 }
 
 // N returns the number of observations.
@@ -42,26 +37,6 @@ func (m *Moments) Var() float64 {
 // Sigma returns the population standard deviation.
 func (m *Moments) Sigma() float64 { return math.Sqrt(m.Var()) }
 
-// Skewness returns the standardized third central moment, or 0 when
-// the variance vanishes.
-func (m *Moments) Skewness() float64 {
-	if m.n == 0 || m.m2 == 0 {
-		return 0
-	}
-	n := float64(m.n)
-	return math.Sqrt(n) * m.m3 / math.Pow(m.m2, 1.5)
-}
-
-// Kurtosis returns the excess kurtosis, or 0 when the variance
-// vanishes.
-func (m *Moments) Kurtosis() float64 {
-	if m.n == 0 || m.m2 == 0 {
-		return 0
-	}
-	n := float64(m.n)
-	return n*m.m4/(m.m2*m.m2) - 3
-}
-
 // Merge folds another accumulator into this one (parallel Welford).
 func (m *Moments) Merge(o *Moments) {
 	if o.n == 0 {
@@ -74,18 +49,9 @@ func (m *Moments) Merge(o *Moments) {
 	na, nb := float64(m.n), float64(o.n)
 	n := na + nb
 	delta := o.mean - m.mean
-	d2 := delta * delta
-	d3 := d2 * delta
-	d4 := d2 * d2
-	mean := m.mean + delta*nb/n
-	m2 := m.m2 + o.m2 + d2*na*nb/n
-	m3 := m.m3 + o.m3 + d3*na*nb*(na-nb)/(n*n) +
-		3*delta*(na*o.m2-nb*m.m2)/n
-	m4 := m.m4 + o.m4 + d4*na*nb*(na*na-na*nb+nb*nb)/(n*n*n) +
-		6*d2*(na*na*o.m2+nb*nb*m.m2)/(n*n) +
-		4*delta*(na*o.m3-nb*m.m3)/n
+	m.mean += delta * nb / n
+	m.m2 = m.m2 + o.m2 + delta*delta*na*nb/n
 	m.n += o.n
-	m.mean, m.m2, m.m3, m.m4 = mean, m2, m3, m4
 }
 
 // Cov is an online accumulator for the covariance of paired samples.

@@ -21,19 +21,15 @@ func TestMomentsAgainstDirect(t *testing.T) {
 		mean += x
 	}
 	mean /= n
-	var m2, m3, m4 float64
+	var m2 float64
 	for _, x := range xs {
 		d := x - mean
 		m2 += d * d
-		m3 += d * d * d
-		m4 += d * d * d * d
 	}
-	m2, m3, m4 = m2/n, m3/n, m4/n
+	m2 /= n
 	approx(t, "Mean", m.Mean(), mean, 1e-9)
 	approx(t, "Var", m.Var(), m2, 1e-9)
 	approx(t, "Sigma", m.Sigma(), math.Sqrt(m2), 1e-9)
-	approx(t, "Skewness", m.Skewness(), m3/math.Pow(m2, 1.5), 1e-9)
-	approx(t, "Kurtosis", m.Kurtosis(), m4/(m2*m2)-3, 1e-9)
 	if m.N() != 5000 {
 		t.Errorf("N = %d", m.N())
 	}
@@ -41,7 +37,7 @@ func TestMomentsAgainstDirect(t *testing.T) {
 
 func TestMomentsEmptyAndConstant(t *testing.T) {
 	var m Moments
-	if m.Mean() != 0 || m.Var() != 0 || m.Skewness() != 0 || m.Kurtosis() != 0 {
+	if m.Mean() != 0 || m.Var() != 0 {
 		t.Error("empty accumulator nonzero")
 	}
 	for i := 0; i < 10; i++ {
@@ -49,9 +45,6 @@ func TestMomentsEmptyAndConstant(t *testing.T) {
 	}
 	approx(t, "const mean", m.Mean(), 7, 1e-12)
 	approx(t, "const var", m.Var(), 0, 1e-12)
-	if m.Skewness() != 0 || m.Kurtosis() != 0 {
-		t.Error("constant stream has nonzero shape moments")
-	}
 }
 
 func TestMomentsMerge(t *testing.T) {
@@ -69,8 +62,6 @@ func TestMomentsMerge(t *testing.T) {
 	a.Merge(&b)
 	approx(t, "merged mean", a.Mean(), all.Mean(), 1e-9)
 	approx(t, "merged var", a.Var(), all.Var(), 1e-9)
-	approx(t, "merged skew", a.Skewness(), all.Skewness(), 1e-9)
-	approx(t, "merged kurt", a.Kurtosis(), all.Kurtosis(), 1e-9)
 	if a.N() != all.N() {
 		t.Errorf("merged N = %d, want %d", a.N(), all.N())
 	}
@@ -121,6 +112,6 @@ func TestMomentsGaussianShape(t *testing.T) {
 	for i := 0; i < 400000; i++ {
 		m.Add(rng.NormFloat64())
 	}
-	approx(t, "gaussian skew", m.Skewness(), 0, 0.02)
-	approx(t, "gaussian kurt", m.Kurtosis(), 0, 0.05)
+	approx(t, "gaussian mean", m.Mean(), 0, 0.005)
+	approx(t, "gaussian var", m.Var(), 1, 0.01)
 }

@@ -200,9 +200,10 @@ func TestInputStatsSampleDistribution(t *testing.T) {
 	var sum, sumsq float64
 	var nt int
 	for i := 0; i < n; i++ {
-		v, tt := s.Sample(rng)
+		v := s.ValueAt(rng.Float64())
 		counts[v]++
 		if v.Switching() {
+			tt := s.ArrivalAt(rng.NormFloat64())
 			sum += tt
 			sumsq += tt * tt
 			nt++

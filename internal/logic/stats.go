@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // InputStats describes the cycle statistics of a timing launch point
 // (a primary input or a flip-flop output): the occurrence
@@ -81,23 +78,21 @@ func (s InputStats) TogglingVariance() float64 {
 	return rho * (1 - rho)
 }
 
-// Sample draws one cycle behaviour: a four-value logic value and, for
-// transitions, an arrival time from N(Mu, Sigma).
-func (s InputStats) Sample(rng *rand.Rand) (Value, float64) {
-	u := rng.Float64()
-	v := Zero
+// ValueAt maps a uniform draw u in [0, 1) to a four-value logic
+// value by inverting the occurrence distribution in the order 0, 1,
+// r, f. Together with ArrivalAt it samples one cycle behaviour.
+func (s InputStats) ValueAt(u float64) Value {
 	switch {
 	case u < s.P[Zero]:
-		v = Zero
+		return Zero
 	case u < s.P[Zero]+s.P[One]:
-		v = One
+		return One
 	case u < s.P[Zero]+s.P[One]+s.P[Rise]:
-		v = Rise
-	default:
-		v = Fall
+		return Rise
 	}
-	if !v.Switching() {
-		return v, 0
-	}
-	return v, s.Mu + s.Sigma*rng.NormFloat64()
+	return Fall
 }
+
+// ArrivalAt maps a standard normal draw z to a transition arrival
+// time from N(Mu, Sigma).
+func (s InputStats) ArrivalAt(z float64) float64 { return s.Mu + s.Sigma*z }

@@ -18,11 +18,9 @@
 //	fall      = iw & ^fw
 //
 // Arrival-time settling is inherently per-run arithmetic, so it runs
-// as a sparse pass: a bits.TrailingZeros64 walk over the switching
-// mask visits only the lanes whose output actually transitions and
-// replays the scalar engine's settle (MIN/MAX over the switching
-// fanins' times, per-lane MIN/MAX selected from the output's final
-// value for monotone gates).
+// as a sparse, fanin-major pass: bits.TrailingZeros64 walks over each
+// fanin's switching lanes fold its times into per-lane MIN/MAX
+// accumulators, replaying the scalar engine's settle lane by lane.
 //
 // Randomness: each lane l of a block starting at global run b draws
 // from the SplitMix64 stream runState(seed, b+l) (rng.go). The node-
@@ -35,7 +33,6 @@ package montecarlo
 
 import (
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -53,15 +50,12 @@ type packedState struct {
 	tm []float64 // per-net per-lane transition times, stride laneCount
 
 	// Per-lane random streams; lane l is reseeded to
-	// runState(seed, block+l) at each block start, so the rand.Rand
-	// wrappers are built once per simulated range.
+	// runState(seed, block+l) at each block start.
 	srcs [laneCount]runSource
-	rngs [laneCount]*rand.Rand
 
-	// Per-gate fanin scratch for the settle pass: switching mask and
-	// tm base offset of each fanin.
-	fsw   []uint64
-	fbase []int
+	// acc holds each lane's running MIN/MAX of its switching fanins'
+	// times during one gate's settle pass.
+	acc [laneCount]float64
 }
 
 // simulatePacked simulates runs runs with global indices
@@ -74,9 +68,6 @@ func simulatePacked(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 		iw: make([]uint64, nn),
 		fw: make([]uint64, nn),
 		tm: make([]float64, nn*laneCount),
-	}
-	for l := range st.srcs {
-		st.rngs[l] = newRunRNG(&st.srcs[l])
 	}
 	var endpoints []netlist.NodeID
 	if cfg.CountCriticality {
@@ -139,7 +130,7 @@ func simulateBlock(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStat
 			}
 			base := int(id) * laneCount
 			for l := 0; l < active; l++ {
-				v, t := ist.Sample(st.rngs[l])
+				v, t := st.srcs[l].sampleInput(&ist)
 				bit := uint64(1) << uint(l)
 				if v.Initial() {
 					wi |= bit
@@ -246,11 +237,10 @@ func evalPlanes(g logic.GateType, fanin []netlist.NodeID, iw, fw []uint64) (wi, 
 	panic("montecarlo: evalPlanes on non-combinational gate " + g.String())
 }
 
-// settleLanes runs the sparse settle pass for gate n: for each lane
-// in the switching mask sw, combine the switching fanins' transition
-// times with the lane's MIN/MAX settle operation and add the sampled
-// gate delay. This replays simulateScalar's settle arithmetic (same
-// first-then-strict-compare accumulation, same comparison order) so
+// settleLanes runs the settle pass for gate n over the lanes in its
+// switching mask sw. Per lane it replays simulateScalar's settle:
+// switching fanins in fanin order, the first one's time taken as is,
+// later ones by the same strict compares, then one delay draw — so
 // the times are bit-identical.
 func settleLanes(cfg *Config, st *packedState, n *netlist.Node, id netlist.NodeID, wf, sw uint64) {
 	// opMin per lane: SettleOp returns OpMin exactly when a monotone
@@ -265,48 +255,47 @@ func settleLanes(cfg *Config, st *packedState, n *netlist.Node, id netlist.NodeI
 			opMinMask = ^wf
 		}
 	}
-	st.fsw = st.fsw[:0]
-	st.fbase = st.fbase[:0]
+	iw, fw, tm, acc := st.iw, st.fw, st.tm, &st.acc
+	seen := uint64(0) // every lane of sw switches on some fanin
 	for _, f := range n.Fanin {
-		st.fsw = append(st.fsw, st.iw[f]^st.fw[f])
-		st.fbase = append(st.fbase, int(f)*laneCount)
-	}
-	dn := cfg.Delay(n)
-	base := int(id) * laneCount
-	tm := st.tm
-	for w := sw; w != 0; w &= w - 1 {
-		l := bits.TrailingZeros64(w)
-		bit := uint64(1) << uint(l)
-		opMin := opMinMask&bit != 0
-		first := true
-		acc := 0.0
-		k := 0
-		for j, fsw := range st.fsw {
-			if fsw&bit == 0 {
-				continue
-			}
-			k++
-			t := tm[st.fbase[j]+l]
-			if first {
-				acc, first = t, false
-				continue
-			}
-			if opMin {
-				if t < acc {
-					acc = t
-				}
-			} else if t > acc {
-				acc = t
+		fs := (iw[f] ^ fw[f]) & sw
+		if fs == 0 {
+			continue
+		}
+		ft := (*[laneCount]float64)(tm[int(f)*laneCount:])
+		for w := fs &^ seen; w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			acc[l] = ft[l]
+		}
+		for w := fs & seen & opMinMask; w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			if t := ft[l]; t < acc[l] {
+				acc[l] = t
 			}
 		}
-		d := dn
+		for w := fs & seen &^ opMinMask; w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			if t := ft[l]; t > acc[l] {
+				acc[l] = t
+			}
+		}
+		seen |= fs
+	}
+	out := (*[laneCount]float64)(tm[int(id)*laneCount:])
+	d := cfg.Delay(n)
+	for w := sw; w != 0; w &= w - 1 {
+		l := bits.TrailingZeros64(w)
 		if cfg.MIS != nil {
+			k := 0 // the lane's switching fanin count
+			for _, f := range n.Fanin {
+				k += int((iw[f]^fw[f])>>uint(l)) & 1
+			}
 			d = cfg.MIS(n, k)
 		}
 		dt := d.Mu
 		if d.Sigma > 0 {
-			dt += d.Sigma * st.rngs[l].NormFloat64()
+			dt += d.Sigma * st.srcs[l].normFloat64()
 		}
-		tm[base+l] = acc + dt
+		out[l] = acc[l] + dt
 	}
 }

@@ -184,7 +184,7 @@ func TestPackedWorkersInvariance(t *testing.T) {
 	}
 }
 
-func genCircuit(t *testing.T, name string) *netlist.Circuit {
+func genCircuit(t testing.TB, name string) *netlist.Circuit {
 	t.Helper()
 	p, ok := synth.ProfileByName(name)
 	if !ok {

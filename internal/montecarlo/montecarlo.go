@@ -36,9 +36,7 @@ type Config struct {
 	// consumed by run r depends only on (Seed, r), not on the engine
 	// (scalar or packed), the Workers count, or the shard split.
 	// Results are bit-identical across engines for a fixed (Seed,
-	// Workers) pair, and the per-shard streams cannot overlap the way
-	// the previous additive per-shard reseeding
-	// (rand.NewSource(Seed + w*1_000_003)) could.
+	// Workers) pair.
 	Seed int64
 	// Delay is the gate delay model (default ssta.UnitDelay). A
 	// model with Sigma > 0 is sampled independently per gate per
@@ -263,7 +261,6 @@ func simulateScalar(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 	order := c.TopoOrder()
 	defaultStats := logic.UniformStats()
 	src := &runSource{}
-	rng := newRunRNG(src)
 	// One cost unit per node visit: runs × topo-order length, counted
 	// up front — the walk is unconditional, so the product is exact and
 	// shard-invariant (each shard contributes its own runs).
@@ -285,7 +282,7 @@ func simulateScalar(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 				if !ok {
 					st = defaultStats
 				}
-				vals[id], times[id] = st.Sample(rng)
+				vals[id], times[id] = src.sampleInput(&st)
 			default:
 				inVals = inVals[:0]
 				inTimes = inTimes[:0]
@@ -313,7 +310,7 @@ func simulateScalar(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 					}
 					d := dn.Mu
 					if dn.Sigma > 0 {
-						d += dn.Sigma * rng.NormFloat64()
+						d += dn.Sigma * src.normFloat64()
 					}
 					times[id] = t + d
 				} else {

@@ -121,8 +121,8 @@ func decodeDelta(r *http.Request) (*DeltaRequest, error) {
 	default:
 		return nil, errBadRequest("unknown delta engine %q (want spsta or ssta)", req.Engine)
 	}
-	if req.Epsilon < 0 {
-		return nil, errBadRequest("epsilon must be >= 0")
+	if err := checkEpsilon(req.Epsilon); err != nil {
+		return nil, err
 	}
 	if req.Engine == "ssta" && req.Epsilon != 0 {
 		return nil, errBadRequest("epsilon applies only to the spsta engine")

@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -291,13 +292,13 @@ type Request struct {
 	// Engine: spsta (default), moment, mc, or all.
 	Engine string `json:"engine,omitempty"`
 	// Epsilon is the per-net adaptive-pruning error budget of the
-	// spsta and moment engines (0 = exact).
+	// spsta and moment engines (0 = exact; must be below 1).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Sigma > 0 selects variational N(1, sigma^2) gate delays
 	// instead of deterministic unit delays.
 	Sigma float64 `json:"sigma,omitempty"`
 	// Workers is the level-parallel worker count / Monte Carlo shard
-	// count (0 = GOMAXPROCS).
+	// count (0 = GOMAXPROCS, at most 256).
 	Workers int `json:"workers,omitempty"`
 	// Runs and Seed parameterize the Monte Carlo engine (defaults
 	// 10000 and 1).
@@ -457,6 +458,18 @@ func (s *Service) acquire(r *http.Request) (release func(), err error) {
 	}
 }
 
+// maxWorkers bounds a request's workers field.
+const maxWorkers = 256
+
+// checkEpsilon rejects pruning budgets outside [0, 1): a budget of a
+// whole probability mass or more prunes every endpoint.
+func checkEpsilon(eps float64) error {
+	if eps < 0 || eps >= 1 {
+		return errBadRequest("epsilon must be in [0, 1)")
+	}
+	return nil
+}
+
 // decode parses and validates a request body.
 func decode(r *http.Request) (*Request, error) {
 	var req Request
@@ -489,11 +502,17 @@ func decode(r *http.Request) (*Request, error) {
 	default:
 		return nil, errBadRequest("unknown scenario %q (want I or II)", req.Scenario)
 	}
-	if req.Epsilon < 0 {
-		return nil, errBadRequest("epsilon must be >= 0")
+	if err := checkEpsilon(req.Epsilon); err != nil {
+		return nil, err
 	}
 	if req.Sigma < 0 {
 		return nil, errBadRequest("sigma must be >= 0")
+	}
+	// One goroutine per Monte Carlo shard: an unbounded count would
+	// start up to runs of them, and a negative one (served as serial)
+	// would split the result cache.
+	if req.Workers < 0 || req.Workers > maxWorkers {
+		return nil, errBadRequest("workers must be in [0, %d]", maxWorkers)
 	}
 	switch req.Batched {
 	case "":
@@ -968,6 +987,7 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 		if err != nil {
 			return er, err
 		}
+		er.Endpoints = slices.Grow(er.Endpoints, len(eps))
 		for _, ep := range eps {
 			ra, rp := res.Arrival(ep, ssta.DirRise)
 			fa, fp := res.Arrival(ep, ssta.DirFall)
@@ -991,6 +1011,10 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 		if err != nil {
 			return er, err
 		}
+		// Exact capacity: cached results keep this slice for their
+		// lifetime, and append's doubling would leave up to half of it
+		// unused.
+		er.Endpoints = slices.Grow(er.Endpoints, len(eps))
 		for _, ep := range eps {
 			ra := res.Arrival(ep, ssta.DirRise)
 			fa := res.Arrival(ep, ssta.DirFall)
@@ -1011,8 +1035,9 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 // spstaEndpoints formats a core.Result's endpoint statistics; shared
 // by the analyze engines and the delta endpoint.
 func spstaEndpoints(res *core.Result, c *netlist.Circuit) []EndpointStat {
-	var out []EndpointStat
-	for _, ep := range c.Endpoints() {
+	eps := c.Endpoints()
+	out := slices.Grow([]EndpointStat(nil), len(eps))
+	for _, ep := range eps {
 		rm, rs, rp := res.Arrival(ep, ssta.DirRise)
 		fm, fs, fp := res.Arrival(ep, ssta.DirFall)
 		out = append(out, EndpointStat{

@@ -262,6 +262,32 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s sigma -1: status = %d, want 400 sigma must be >= 0 (%s)", path, resp.StatusCode, b)
 		}
 	}
+	// workers and epsilon are bounded in decode, before any engine
+	// starts. The mc cases keep runs small: without the bound the
+	// shard count would be clamped to runs, never a huge number.
+	for _, tc := range []struct{ path, body, msg string }{
+		{"/v1/analyze", `{"circuit":"s208","workers":-1}`, "workers must be in [0, 256]"},
+		{"/v1/analyze", `{"circuit":"s208","workers":257}`, "workers must be in [0, 256]"},
+		{"/v1/compare", `{"circuit":"s208","runs":64,"workers":257}`, "workers must be in [0, 256]"},
+		{"/v1/analyze", `{"circuit":"s208","engine":"mc","runs":2,"workers":1000000000}`, "workers must be in [0, 256]"},
+		{"/v1/analyze", `{"circuit":"s208","epsilon":10}`, "epsilon must be in [0, 1)"},
+		{"/v1/analyze", `{"circuit":"s208","epsilon":1}`, "epsilon must be in [0, 1)"},
+		{"/v1/compare", `{"circuit":"s208","runs":64,"epsilon":10}`, "epsilon must be in [0, 1)"},
+		{"/v1/delta", `{"circuit":"s208","epsilon":10}`, "epsilon must be in [0, 1)"},
+		{"/v1/delta", `{"circuit":"s208","epsilon":-0.5}`, "epsilon must be in [0, 1)"},
+	} {
+		resp, b := post(t, srv.URL+tc.path, tc.body)
+		var e struct{ Error string }
+		_ = json.Unmarshal(b, &e)
+		if resp.StatusCode != http.StatusBadRequest || e.Error != tc.msg {
+			t.Errorf("%s %s: status = %d, want 400 %s (%s)", tc.path, tc.body, resp.StatusCode, tc.msg, b)
+		}
+	}
+	svc.reg.aggMu.Lock()
+	defer svc.reg.aggMu.Unlock()
+	if agg := svc.reg.agg; agg.Cost.Total != 0 || agg.MonteCarloRuns != 0 {
+		t.Errorf("rejected requests ran engines: %d cost units, %d mc runs", agg.Cost.Total, agg.MonteCarloRuns)
+	}
 }
 
 // TestBatchedRequestKnobs exercises the batched/precision request

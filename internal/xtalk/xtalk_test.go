@@ -127,6 +127,16 @@ func TestMixedDirectionsPartition(t *testing.T) {
 	}
 }
 
+// sample draws one cycle behaviour of s: the value from a uniform
+// and, for a transition, the arrival time from a normal.
+func sample(s logic.InputStats, rng *rand.Rand) (logic.Value, float64) {
+	v := s.ValueAt(rng.Float64())
+	if !v.Switching() {
+		return v, 0
+	}
+	return v, s.ArrivalAt(rng.NormFloat64())
+}
+
 // TestAgainstSampling validates the full mixture against a direct
 // simulation of the alignment rule.
 func TestAgainstSampling(t *testing.T) {
@@ -143,12 +153,12 @@ func TestAgainstSampling(t *testing.T) {
 	var m dist.Moments
 	var pOpp, pSame, n float64
 	for i := 0; i < 400000; i++ {
-		vv, vt := va.Sample(rng)
+		vv, vt := sample(va, rng)
 		if vv != logic.Rise {
 			continue
 		}
 		vt += 1 // unit buffer delay
-		av, at := ag.Sample(rng)
+		av, at := sample(ag, rng)
 		at += 1
 		t2 := vt
 		switch {
